@@ -4,6 +4,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
@@ -35,5 +36,24 @@ func TestAllocGuardGreedyMRRun(t *testing.T) {
 	t.Logf("small chained GreedyMR run: %.0f allocs", avg)
 	if avg > limit {
 		t.Errorf("GreedyMR run allocates %.0f (> %d): the round loop's allocation discipline regressed", avg, limit)
+	}
+}
+
+// TestAllocGuardNodeRandBytes pins the per-node cost of the matching
+// stages' random source: building nodeRand and drawing a Perm(10) must
+// stay within a few small objects (the rand.Rand, the lazy source and
+// the permutation), not the 4.9 KB state a full math/rand seed builds.
+func TestAllocGuardNodeRandBytes(t *testing.T) {
+	const limit, ops = 512, 2000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < ops; i++ {
+		_ = nodeRand(int64(i), graph.NodeID(i), i).Perm(10)
+	}
+	runtime.ReadMemStats(&after)
+	perOp := (after.TotalAlloc - before.TotalAlloc) / ops
+	t.Logf("nodeRand+Perm(10): %d B/op", perOp)
+	if perOp > limit {
+		t.Errorf("nodeRand+Perm(10) allocates %d B/op (> %d): the per-node source regressed to a full seed", perOp, limit)
 	}
 }

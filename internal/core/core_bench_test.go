@@ -121,3 +121,12 @@ func BenchmarkMatchingValidate(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkNodeRand is the per-node, per-stage cost of the maximal
+// matching's random decisions: build the source, draw a permutation.
+func BenchmarkNodeRand(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = nodeRand(int64(i), graph.NodeID(i), i).Perm(10)
+	}
+}

@@ -98,10 +98,11 @@ type maximalConfig struct {
 
 // nodeRand returns a deterministic per-node, per-iteration random source:
 // local random decisions in mappers must be reproducible and independent
-// of scheduling.
+// of scheduling. The stream is rand.NewSource(h)'s, served by a
+// lazySource that skips the full 607-word seeding (see noderand.go).
 func nodeRand(seed int64, v graph.NodeID, iter int) *rand.Rand {
 	h := int64(mix64(uint64(seed) ^ uint64(uint32(v))<<20 ^ uint64(iter)*0x9e37))
-	return rand.New(rand.NewSource(h))
+	return rand.New(newLazySource(h))
 }
 
 // maximalBMatching computes a maximal b-matching over the node-view

@@ -112,3 +112,24 @@ func TestAllocGuardDecodePairsV2(t *testing.T) {
 		t.Errorf("v2 decode allocates %.3f per blob (> 2): per-pair or per-column churn crept in", avg)
 	}
 }
+
+// TestAllocGuardNamedKeyHash pins named scalar keys (graph.NodeID is a
+// named int32) to hashKey's allocation-free path: resolved by kind and
+// read in place, never boxed or formatted.
+func TestAllocGuardNamedKeyHash(t *testing.T) {
+	type namedString string
+	var sink uint64
+	i := 0
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"named int32", func() { sink += hashKey(nodeKey(i)); i++ }},
+		{"named string", func() { sink += hashKey(namedString("node-42")) }},
+	} {
+		if avg := testing.AllocsPerRun(1000, c.f); avg != 0 {
+			t.Errorf("hashKey(%s) allocates %.1f per call, want 0", c.name, avg)
+		}
+	}
+	_ = sink
+}

@@ -1796,7 +1796,11 @@ type distJobRun[K2 comparable, V2 any, K3 comparable, V3 any] struct {
 	aborting  atomic.Bool
 	flushOnce sync.Once
 	flushErr  error
+	flushedAt time.Time // the flush barrier; zero until it passes
 	records   atomic.Int64
+	// sendNanos sums the time the coordinator's map tasks spent
+	// encoding and writing buckets (see setPhaseWalls).
+	sendNanos atomic.Int64
 	// wireSaved counts the bytes wire compression shaved off the
 	// coordinator's own encodes; workers report theirs in MsgJobDone.
 	wireSaved atomic.Int64
@@ -2154,6 +2158,8 @@ func (j *distJobRun[K2, V2, K3, V3]) drainAborted(w int) {
 // sendBucket encodes one bucket and streams it to the partition's
 // owner under the job's assignment.
 func (j *distJobRun[K2, V2, K3, V3]) sendBucket(split, part int, pairs []Pair[K2, V2]) error {
+	start := time.Now()
+	defer func() { j.sendNanos.Add(int64(time.Since(start))) }()
 	fs := getFrameScratch()
 	frame, err := encodeBucketFrame(fs.b[:0], j.hdr.seq, split, part, pairs, j.k2c, j.v2c, j.hdr.wireComp, &j.wireSaved)
 	if err != nil {
@@ -2193,8 +2199,42 @@ func (j *distJobRun[K2, V2, K3, V3]) flushAll() error {
 				return
 			}
 		}
+		j.flushedAt = time.Now()
 	})
 	return j.flushErr
+}
+
+// setPhaseWalls splits one attempt's wall clock, from start to now, into
+// Stats' three phases at two points: the end of the map phase and the
+// flush barrier. Shuffle is the span between them (the wait for the
+// last bucket or relay to land) plus the map phase's own bucket
+// traffic. The coordinator's map tasks interleave map work with bucket
+// encode+send, so no wall-clock point separates the two; their share
+// is the mapTasks tasks' mean time in sendBucket. Worker-side map tasks
+// (chained jobs, zero mapEnd) end with the slowest worker's reported
+// map wall, which includes that worker's own bucket sends. Call after
+// finish, whose reader wait orders flushedAt and the reports.
+func (j *distJobRun[K2, V2, K3, V3]) setPhaseWalls(stats *Stats, start, mapEnd time.Time, mapTasks int) {
+	end := time.Since(start)
+	var mapped, sending time.Duration
+	if mapEnd.IsZero() {
+		for _, rep := range j.reports {
+			mapped = max(mapped, rep.mapWall)
+		}
+	} else {
+		mapped = mapEnd.Sub(start)
+		sending = time.Duration(j.sendNanos.Load() / int64(max(mapTasks, 1)))
+	}
+	flushed := mapped // an aborted attempt never flushed
+	if !j.flushedAt.IsZero() {
+		flushed = j.flushedAt.Sub(start)
+	}
+	flushed = min(max(flushed, mapped), end)
+	mapped = min(mapped, flushed)
+	sending = min(sending, mapped)
+	stats.MapWall = mapped - sending
+	stats.ShuffleWall = flushed - mapped + sending
+	stats.ReduceWall = end - flushed
 }
 
 // reader consumes one worker's frames for this job until its MsgJobDone
@@ -2668,12 +2708,11 @@ func tryDistFlat[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3
 	}
 	ar := arenaFor[K2, V2](cfg.Pool, cfg.reducers())
 	sender := &distSender[K2, V2, K3, V3]{j: job, ar: ar}
-	phase := time.Now()
+	start := time.Now()
 	mapErr := runMapPhase(ctx, cfg, splits, input, mapFn, sender, ar, stats)
-	stats.MapWall = time.Since(phase)
-	phase = time.Now()
+	mapEnd := time.Now()
 	outs, _, err := job.finish(ctx, cfg, stats, mapErr)
-	stats.ReduceWall = time.Since(phase)
+	job.setPhaseWalls(stats, start, mapEnd, len(splits))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -2828,7 +2867,7 @@ func tryDistDS[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 a
 	cl := cfg.Dist
 	var job *distJobRun[K2, V2, K3, V3]
 	var err error
-	phase := time.Now()
+	start := time.Now()
 	if remoteChained {
 		// Reconcile the input's partition locations against the current
 		// assignment: re-seed what a dead owner lost, migrate what the
@@ -2848,6 +2887,7 @@ func tryDistDS[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 a
 		chained := input.aligned && input.Partitions() == cfg.reducers() && !cfg.FlatChaining
 		ar := arenaFor[K2, V2](cfg.Pool, cfg.reducers())
 		var mapErr error
+		var mapTasks int
 		if chained {
 			job, err = startDistJob[K2, V2, K3, V3](cfg, remote.ModeFlat, input.Partitions(), 0, false, ckpt)
 			if err != nil {
@@ -2855,6 +2895,7 @@ func tryDistDS[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 a
 			}
 			sender := &distSender[K2, V2, K3, V3]{j: job, ar: ar}
 			mapErr = runMapPhaseDS(ctx, cfg, input, mapFn, sender, ar, stats)
+			mapTasks = input.Partitions()
 		} else {
 			flat := input.Collect()
 			splits := splitRange(len(flat), cfg.mappers())
@@ -2864,11 +2905,11 @@ func tryDistDS[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 a
 			}
 			sender := &distSender[K2, V2, K3, V3]{j: job, ar: ar}
 			mapErr = runMapPhase(ctx, cfg, splits, flat, mapFn, sender, ar, stats)
+			mapTasks = len(splits)
 		}
-		stats.MapWall = time.Since(phase)
-		phase = time.Now()
+		mapEnd := time.Now()
 		_, counts, err := job.finish(ctx, cfg, stats, mapErr)
-		stats.ReduceWall = time.Since(phase)
+		job.setPhaseWalls(stats, start, mapEnd, mapTasks)
 		if err != nil {
 			return nil, err
 		}
@@ -2876,8 +2917,7 @@ func tryDistDS[K1 comparable, V1 any, K2 comparable, V2 any, K3 comparable, V3 a
 		return newRemoteDataset[K3, V3](cl, job.hdr.seq, counts, keyCast[K2, K3]() != nil, cfg.Pool), nil
 	}
 	_, counts, err := job.finish(ctx, cfg, stats, nil)
-	stats.MapWall = 0
-	stats.ReduceWall = time.Since(phase)
+	job.setPhaseWalls(stats, start, time.Time{}, 0)
 	if err != nil {
 		return nil, err
 	}

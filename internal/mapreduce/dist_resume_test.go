@@ -4,7 +4,10 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -336,5 +339,55 @@ func TestDecodePairsTruncatedCompressed(t *testing.T) {
 	}
 	if errored == 0 {
 		t.Fatal("no truncation point ever surfaced a decode error")
+	}
+}
+
+// TestJournalRefusesOtherFormat pins the journal's format gate: the
+// manifest tags every segment with journalFormat, and a resume over a
+// manifest of another format (v1 hashed named keys through fmt, so its
+// resident records name different partitions) fails with an error that
+// says so, instead of replaying them or silently starting over.
+func TestJournalRefusesOtherFormat(t *testing.T) {
+	dir := t.TempDir()
+	j, err := openDistJournal(dir, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &journalRecord{kind: journalKindFlat, name: "job", counts: []int64{1}, blobs: [][]byte{{1, 2, 3}}}
+	if err := j.appendJob(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.commit(0); err != nil {
+		t.Fatal(err)
+	}
+	j.close()
+	manifest := filepath.Join(dir, journalManifestName)
+	raw, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := j.seg + " " + journalFormat + "\n"; string(raw) != want {
+		t.Fatalf("manifest = %q, want %q", raw, want)
+	}
+
+	// The same history under the current tag resumes.
+	j2, err := openDistJournal(dir, true, 0)
+	if err != nil {
+		t.Fatalf("resuming a %s journal: %v", journalFormat, err)
+	}
+	if len(j2.pending) != 1 {
+		t.Fatalf("resumed %d records, want 1", len(j2.pending))
+	}
+	j2.close()
+
+	for _, tag := range []string{"v1", "", "v3", "v2 extra"} {
+		line := strings.TrimSpace(j.seg + " " + tag)
+		if err := os.WriteFile(manifest, []byte(line+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := openDistJournal(dir, true, 0)
+		if err == nil || !strings.Contains(err.Error(), "format") || !strings.Contains(err.Error(), journalFormat) {
+			t.Fatalf("resume over manifest %q: err = %v, want a format refusal", line, err)
+		}
 	}
 }

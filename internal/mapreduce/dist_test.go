@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"os"
 	"os/exec"
@@ -435,6 +436,13 @@ func TestDistCloseReapsWedgedWorker(t *testing.T) {
 		cl.Close()
 		t.Fatal(err)
 	}
+	// Signal returns before the stop takes effect: a worker still
+	// running when Close sends MsgBye would exit cleanly, and the test
+	// would see a clean shutdown it never set up.
+	if err := waitProcStopped(cl.procs[0].Process.Pid, 10*time.Second); err != nil {
+		cl.Close()
+		t.Fatal(err)
+	}
 	closed := make(chan error, 1)
 	go func() { closed <- cl.Close() }()
 	select {
@@ -447,6 +455,34 @@ func TestDistCloseReapsWedgedWorker(t *testing.T) {
 		t.Logf("wedged worker surfaced: %v", err)
 	case <-time.After(30 * time.Second):
 		t.Fatal("Close hung on a wedged worker process")
+	}
+}
+
+// waitProcStopped polls /proc/<pid>/stat until the process state reads
+// stopped (T, or t when traced), or fails at the deadline.
+func waitProcStopped(pid int, timeout time.Duration) error {
+	path := fmt.Sprintf("/proc/%d/stat", pid)
+	deadline := time.Now().Add(timeout)
+	for {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		// "pid (comm) state ...": comm may hold spaces and parentheses,
+		// so the state is the first field after the last ')'.
+		var state string
+		if i := strings.LastIndexByte(string(raw), ')'); i >= 0 {
+			if f := strings.Fields(string(raw[i+1:])); len(f) > 0 {
+				state = f[0]
+			}
+		}
+		if state == "T" || state == "t" {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("worker %d still in state %q %v after SIGSTOP", pid, state, timeout)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -524,4 +560,43 @@ func BenchmarkDistShuffle(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestDistShuffleWall pins the dist backend's phase walls: a job with
+// cross-partition traffic reports a positive ShuffleWall — bucket
+// encode+send and the wait for the flush barrier — on all three paths
+// (a flat job, a Dataset job mapped on the coordinator, a chained job
+// mapped on the workers whose ring messages cross partitions), and no
+// phase is negative.
+func TestDistShuffleWall(t *testing.T) {
+	cl := startTestCluster(t, 2)
+	cfg := distCfg4(cl, "ring-step")
+	ctx := context.Background()
+	check := func(what string, st *Stats) {
+		t.Helper()
+		if st.CrossRouted == 0 {
+			t.Fatalf("%s: no cross-partition traffic", what)
+		}
+		if st.ShuffleWall <= 0 || st.MapWall < 0 || st.ReduceWall < 0 {
+			t.Fatalf("%s: walls map=%v shuffle=%v reduce=%v, want shuffle > 0 and none negative",
+				what, st.MapWall, st.ShuffleWall, st.ReduceWall)
+		}
+	}
+	_, flat, err := Run(ctx, cfg, ringInput(), ringMap, ringReduce)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("flat job", flat)
+	ds1, local, err := RunDS(ctx, cfg, PartitionDataset(ringInput(), cfg.reducers()), ringMap, ringReduce)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("coordinator-mapped Dataset job", local)
+	ds2, chained, err := RunDS(ctx, cfg, ds1, ringMap, ringReduce)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("worker-mapped chained job", chained)
+	ds1.Recycle()
+	ds2.Recycle()
 }

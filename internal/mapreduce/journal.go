@@ -47,6 +47,14 @@ import (
 // journalManifestName is the manifest file within a journal directory.
 const journalManifestName = "JOURNAL"
 
+// journalFormat is the manifest's per-segment format tag. Resident job
+// records are journaled by partition index, so the tag names the
+// key-to-partition mapping as well as the record layout: v2 hashes
+// named scalar keys (graph.NodeID) like their builtin kinds, where v1
+// hashed their fmt form. A segment of any other format would re-seed
+// records into the wrong partitions, so loadLatest refuses it.
+const journalFormat = "v2"
+
 // journalKeepSegs bounds retained segment files: the current segment
 // and the one it resumed from.
 const journalKeepSegs = 2
@@ -154,7 +162,9 @@ func openDistJournal(dir string, resume bool, crashAfter int) (*distJournal, err
 // segment: CRC-validate frames until the first damaged one, keep the
 // job records up to the last commit record, discard the rest (the
 // crashed round re-runs live). A directory with no usable committed
-// history yields an empty queue — the run simply starts over.
+// history yields an empty queue — the run simply starts over. A
+// manifest naming a segment of another journalFormat is an error: that
+// history was written by an engine that partitions keys differently.
 func (j *distJournal) loadLatest() error {
 	raw, err := os.ReadFile(filepath.Join(j.dir, journalManifestName))
 	if err != nil {
@@ -166,9 +176,14 @@ func (j *distJournal) loadLatest() error {
 	var segs []string
 	for _, line := range strings.Split(string(raw), "\n") {
 		fields := strings.Fields(line)
-		if len(fields) >= 1 && fields[0] != "" {
-			segs = append(segs, fields[0])
+		if len(fields) == 0 {
+			continue
 		}
+		if len(fields) != 2 || fields[1] != journalFormat {
+			return fmt.Errorf("mapreduce: dist journal: %s: segment %s is format %q, this engine reads only %q: resume it with the engine that wrote it, or start a fresh run",
+				journalManifestName, fields[0], strings.Join(fields[1:], " "), journalFormat)
+		}
+		segs = append(segs, fields[0])
 	}
 	for i := len(segs) - 1; i >= 0; i-- {
 		pending, round, ok := loadJournalSegment(filepath.Join(j.dir, segs[i]))
@@ -382,10 +397,10 @@ func (j *distJournal) flipLocked() {
 	var sb strings.Builder
 	keep := map[string]bool{j.seg: true}
 	if j.prevSeg != "" {
-		fmt.Fprintf(&sb, "%s v1\n", j.prevSeg)
+		fmt.Fprintf(&sb, "%s %s\n", j.prevSeg, journalFormat)
 		keep[j.prevSeg] = true
 	}
-	fmt.Fprintf(&sb, "%s v1\n", j.seg)
+	fmt.Fprintf(&sb, "%s %s\n", j.seg, journalFormat)
 	tmp := filepath.Join(j.dir, journalManifestName+".tmp")
 	if err := os.WriteFile(tmp, []byte(sb.String()), 0o644); err != nil {
 		j.err = fmt.Errorf("mapreduce: dist journal: %w", err)

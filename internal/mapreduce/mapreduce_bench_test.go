@@ -72,3 +72,13 @@ func BenchmarkPartitionIndex(b *testing.B) {
 	}
 	_ = sink
 }
+
+// BenchmarkPartitionIndexNamed is BenchmarkPartitionIndex for a named
+// int32 key type — the shape of graph.NodeID.
+func BenchmarkPartitionIndexNamed(b *testing.B) {
+	var sink int
+	for i := 0; i < b.N; i++ {
+		sink += partitionIndex(nodeKey(i), 16)
+	}
+	_ = sink
+}

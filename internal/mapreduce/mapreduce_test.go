@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -359,5 +360,45 @@ func TestStructKeysSupported(t *testing.T) {
 	}
 	if got["0-0"] != 3 || got["1-1"] != 1 {
 		t.Errorf("struct key grouping wrong: %v", got)
+	}
+}
+
+// TestHashKeyNamedKindsMatchBuiltin pins hashKey's named-kind path: a
+// named type of a kind with a builtin case hashes exactly like the
+// builtin (graph.NodeID is a named int32), and other named kinds keep
+// the fmt fallback, like their builtin types.
+func TestHashKeyNamedKindsMatchBuiltin(t *testing.T) {
+	type (
+		namedInt    int
+		namedInt64  int64
+		namedUint32 uint32
+		namedUint64 uint64
+		namedString string
+		namedFloat  float64
+		namedInt16  int16
+	)
+	for _, v := range []int64{0, 1, -1, 42, 1 << 31, -1 << 31, 1<<31 - 1, 1<<63 - 1, -1 << 63} {
+		check := func(name string, got, want uint64) {
+			t.Helper()
+			if got != want {
+				t.Errorf("%s(%d): hash %#x, want the builtin's %#x", name, v, got, want)
+			}
+		}
+		check("nodeKey", hashKey(nodeKey(v)), hashKey(int32(v)))
+		check("namedInt", hashKey(namedInt(v)), hashKey(int(v)))
+		check("namedInt64", hashKey(namedInt64(v)), hashKey(v))
+		check("namedUint32", hashKey(namedUint32(v)), hashKey(uint32(v)))
+		check("namedUint64", hashKey(namedUint64(v)), hashKey(uint64(v)))
+		check("namedFloat", hashKey(namedFloat(v)), hashKey(float64(v)))
+		check("namedInt16", hashKey(namedInt16(v)), hashKey(int16(v)))
+	}
+	for _, s := range []string{"", "a", "node-42", "\x00"} {
+		if hashKey(namedString(s)) != hashKey(s) {
+			t.Errorf("namedString(%q) hashes unlike string", s)
+		}
+	}
+	negZero := namedFloat(math.Copysign(0, -1))
+	if hashKey(negZero) != hashKey(namedFloat(0)) {
+		t.Error("named -0.0 and +0.0 hash differently")
 	}
 }

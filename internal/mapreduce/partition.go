@@ -9,14 +9,15 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"unsafe"
 )
 
-// partitionIndex assigns a key to one of r partitions. It special-cases
-// the key types used throughout this repository (integer node and term
-// identifiers, strings, and small integer tuples) and falls back to
-// hashing the fmt representation for anything else. The mapping is pure:
-// the same key always lands in the same partition, which is the only
-// property the algorithms rely on.
+// partitionIndex assigns a key to one of r partitions by hashKey. The
+// mapping is pure: the same key always lands in the same partition,
+// which is the only property the algorithms rely on. It is also part of
+// the dist wire contract and of the run journal's format (resident
+// partitions are journaled by index), so any change to hashKey's output
+// bumps remote.Proto and journalFormat.
 func partitionIndex[K comparable](key K, r int) int {
 	if r <= 1 {
 		return 0
@@ -30,10 +31,13 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// hashKey produces a stable 64-bit hash for a key. The string case is an
-// inlined FNV-1a loop over the string bytes — identical output to
-// fnv.New64a, without the hasher and []byte-conversion allocations that
-// would otherwise cost one heap object per emitted string-keyed pair.
+// hashKey produces a stable 64-bit hash for a key. The builtin key
+// types of this repository (int, int32, int64, uint32, uint64, string,
+// float64, [2]int32) hash directly; a named type of one of those kinds
+// (graph.NodeID is a named int32) hashes exactly like its underlying
+// builtin type, resolved by hashNamedKey without formatting or
+// allocating. Everything else falls back to FNV-1a over the key's fmt
+// representation.
 func hashKey[K comparable](key K) uint64 {
 	switch k := any(key).(type) {
 	case int:
@@ -47,28 +51,60 @@ func hashKey[K comparable](key K) uint64 {
 	case uint64:
 		return mix64(k)
 	case string:
-		h := uint64(fnvOffset64)
-		for i := 0; i < len(k); i++ {
-			h ^= uint64(k[i])
-			h *= fnvPrime64
-		}
-		return h
+		return hashString(k)
 	case float64:
-		if k == 0 {
-			// -0.0 == +0.0 as a Go map key, so both spellings must land
-			// in one partition (and, chained, take the same identity
-			// route): hash the canonical +0.0 bits for either. Mirrors
-			// f64Ord's shared zero image in the group sort.
-			return mix64(0)
-		}
-		return mix64(math.Float64bits(k))
+		return hashFloat64(k)
 	case [2]int32:
 		return mix64(uint64(uint32(k[0]))<<32 | uint64(uint32(k[1])))
 	default:
-		h := fnv.New64a()
-		fmt.Fprintf(h, "%v", key)
-		return h.Sum64()
+		return hashNamedKey(key)
 	}
+}
+
+// hashNamedKey hashes a key that is not one of hashKey's builtin types:
+// by the underlying kind when hashKey has a builtin case of that kind,
+// reading the value in place, and by fmt + FNV-1a otherwise.
+func hashNamedKey[K comparable](key K) uint64 {
+	p := unsafe.Pointer(&key)
+	switch reflect.TypeFor[K]().Kind() {
+	case reflect.Int:
+		return mix64(uint64(*(*int)(p)))
+	case reflect.Int32, reflect.Uint32:
+		return mix64(uint64(*(*uint32)(p)))
+	case reflect.Int64, reflect.Uint64:
+		return mix64(*(*uint64)(p))
+	case reflect.String:
+		return hashString(*(*string)(p))
+	case reflect.Float64:
+		return hashFloat64(*(*float64)(p))
+	}
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%v", key)
+	return h.Sum64()
+}
+
+// hashString is an inlined FNV-1a loop over the string bytes — identical
+// output to fnv.New64a, without the hasher and []byte-conversion
+// allocations that would otherwise cost one heap object per emitted
+// string-keyed pair.
+func hashString(s string) uint64 {
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime64
+	}
+	return h
+}
+
+// hashFloat64 hashes a float key's bits. -0.0 == +0.0 as a Go map key,
+// so both spellings must land in one partition (and, chained, take the
+// same identity route): hash the canonical +0.0 bits for either.
+// Mirrors f64Ord's shared zero image in the group sort.
+func hashFloat64(f float64) uint64 {
+	if f == 0 {
+		return mix64(0)
+	}
+	return mix64(math.Float64bits(f))
 }
 
 // mix64 is the SplitMix64 finalizer; it spreads consecutive integer ids

@@ -43,7 +43,10 @@ import (
 // wire-compression byte to the job header. Version 4 added the
 // capability flags to the hello, the session token to the welcome, and
 // the resume hello/welcome forms that re-attach a redialed transport.
-const Proto = 4
+// Version 5 changed the key-to-partition mapping of named scalar keys
+// (graph.NodeID now hashes like int32, not through fmt): peers on
+// either side of that change would route pairs to different partitions.
+const Proto = 5
 
 // MsgType identifies one protocol message. The direction annotations
 // are the only ones that occur; receiving a type from the wrong
